@@ -15,10 +15,12 @@
 //! ```
 //!
 //! Every record line is `<crc32 of the JSON, 8 hex chars> <record JSON>`.
-//! The CRC (IEEE 802.3 polynomial, hand-rolled — no new dependencies)
-//! makes torn or bit-flipped tails detectable: [`recover`] walks the file,
-//! keeps the longest valid prefix, truncates the file back to it, and
-//! returns the prefix as a [`CrawlDataset`]. Because records are written
+//! The CRC (IEEE 802.3 polynomial, the same one zlib/PNG use, so files
+//! are checkable with stock tooling) is the raster crate's table-driven
+//! [`canvassing_raster::png::crc32`]. It makes torn or bit-flipped tails
+//! detectable: [`recover`] walks the file, keeps the longest valid
+//! prefix, truncates the file back to it, and returns the prefix as a
+//! [`CrawlDataset`]. Because records are written
 //! in frontier order and [`crate::resume_crawl`] is keyed by URL, a
 //! recovered prefix resumed over the same frontier merges byte-identical
 //! to a fault-free crawl — the property `tests/checkpoint_recovery.rs`
@@ -35,24 +37,10 @@ use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use canvassing_net::{Fault, FaultPlan};
+use canvassing_raster::png::crc32;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{CrawlDataset, SiteRecord};
-
-/// CRC32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the same
-/// polynomial zlib/PNG use, so checkpoint files are checkable with stock
-/// tooling.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// First line of every checkpoint file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -149,8 +137,7 @@ impl CheckpointWriter {
         if self.poisoned {
             return Err(io::Error::other("checkpoint writer poisoned by torn write"));
         }
-        let json = serde_json::to_string(record).map_err(io::Error::other)?;
-        let line = format!("{:08x} {json}\n", crc32(json.as_bytes()));
+        let line = frame(record)?;
         if self.torn_hosts.remove(&record.url.host) {
             self.tear_line(&line)?;
             return Err(io::Error::other(format!(
@@ -158,7 +145,7 @@ impl CheckpointWriter {
                 record.url.host
             )));
         }
-        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(&line)?;
         self.file.flush()?;
         self.records_written += 1;
         Ok(())
@@ -172,20 +159,30 @@ impl CheckpointWriter {
     /// it to kill a shard worker at an exact record. The on-disk state is
     /// precisely what [`recover`] truncates away.
     pub fn tear(&mut self, record: &SiteRecord) -> io::Result<()> {
-        let json = serde_json::to_string(record).map_err(io::Error::other)?;
-        let line = format!("{:08x} {json}\n", crc32(json.as_bytes()));
+        let line = frame(record)?;
         self.tear_line(&line)
     }
 
     /// Crash mid-write: flush roughly half the line, no newline, and
     /// poison the writer until recovery runs.
-    fn tear_line(&mut self, line: &str) -> io::Result<()> {
+    fn tear_line(&mut self, line: &[u8]) -> io::Result<()> {
         let cut = line.len() / 2;
-        self.file.write_all(&line.as_bytes()[..cut])?;
+        self.file.write_all(&line[..cut])?;
         self.file.flush()?;
         self.poisoned = true;
         Ok(())
     }
+}
+
+/// Frames `record` as one checkpoint line, `<crc32 hex> <json>\n`, in a
+/// buffer sized for it up front, so the JSON is copied exactly once.
+fn frame(record: &SiteRecord) -> io::Result<Vec<u8>> {
+    let json = serde_json::to_string(record).map_err(io::Error::other)?;
+    let mut line = Vec::with_capacity(8 + 1 + json.len() + 1);
+    write!(line, "{:08x} ", crc32(json.as_bytes()))?;
+    line.extend_from_slice(json.as_bytes());
+    line.push(b'\n');
+    Ok(line)
 }
 
 /// Reads a checkpoint, keeps the longest valid prefix, truncates the file
@@ -332,6 +329,42 @@ mod tests {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// A checkpoint written by the bitwise-CRC framing that preceded the
+    /// table-driven CRC, pasted verbatim: files on disk from before the
+    /// switch must still recover, and still reject a flipped byte.
+    const FIXTURE: &str = concat!(
+        "{\"version\":2,\"label\":\"control\",\"device_id\":\"intel\"}\n",
+        "30fe83ec {\"url\":{\"scheme\":\"https\",\"host\":\"s0.com\",\"port\":null,",
+        "\"path\":\"/\",\"query\":null},\"outcome\":{\"Failure\":[{\"kind\":\"Timeout\",",
+        "\"error\":\"deadline\",\"attempts\":1,\"salvage\":null}]}}\n",
+    );
+
+    #[test]
+    fn fixture_from_the_bitwise_framing_recovers_clean() {
+        let path = tmp_path("fixture");
+        fs::write(&path, FIXTURE).unwrap();
+        let (ds, report) = recover(&path).unwrap();
+        assert!(report.clean());
+        assert_eq!(ds.records.len(), 1);
+        assert_eq!(ds.records[0].url.host, "s0.com");
+
+        // Re-framing the recovered record reproduces the fixture byte for
+        // byte.
+        let again = tmp_path("fixture-again");
+        save_atomic(&again, &ds).unwrap();
+        assert_eq!(fs::read_to_string(&again).unwrap(), FIXTURE);
+
+        let mut flipped = FIXTURE.as_bytes().to_vec();
+        let pos = FIXTURE.find("deadline").unwrap();
+        flipped[pos] ^= 0x01;
+        fs::write(&path, &flipped).unwrap();
+        let (ds, report) = recover(&path).unwrap();
+        assert!(ds.records.is_empty());
+        assert_eq!(report.corrupted_at, Some(0));
+        fs::remove_file(&path).ok();
+        fs::remove_file(&again).ok();
     }
 
     #[test]

@@ -7,26 +7,36 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 
 /// Encodes bytes as standard base64 with `=` padding.
 pub fn encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let b0 = chunk[0] as u32;
-        let b1 = *chunk.get(1).unwrap_or(&0) as u32;
-        let b2 = *chunk.get(2).unwrap_or(&0) as u32;
-        let n = (b0 << 16) | (b1 << 8) | b2;
-        out.push(ALPHABET[(n >> 18) as usize & 63] as char);
-        out.push(ALPHABET[(n >> 12) as usize & 63] as char);
-        if chunk.len() > 1 {
-            out.push(ALPHABET[(n >> 6) as usize & 63] as char);
-        } else {
-            out.push('=');
-        }
-        if chunk.len() > 2 {
-            out.push(ALPHABET[n as usize & 63] as char);
-        } else {
-            out.push('=');
-        }
-    }
+    let mut out = String::new();
+    encode_into(data, &mut out);
     out
+}
+
+/// Appends the standard base64 encoding of `data` (with `=` padding) to
+/// `out`, growing it once to the final length.
+pub fn encode_into(data: &[u8], out: &mut String) {
+    let mut buf = std::mem::take(out).into_bytes();
+    let start = buf.len();
+    buf.resize(start + data.len().div_ceil(3) * 4, 0);
+    let (body, tail) = buf[start..].split_at_mut(data.len() / 3 * 4);
+    let sextet = |n: u32, shift: u32| ALPHABET[(n >> shift) as usize & 63];
+    let mut groups = data.chunks_exact(3);
+    for (src, dst) in (&mut groups).zip(body.chunks_exact_mut(4)) {
+        let n = (src[0] as u32) << 16 | (src[1] as u32) << 8 | src[2] as u32;
+        dst.copy_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), sextet(n, 0)]);
+    }
+    match *groups.remainder() {
+        [b0] => {
+            let n = (b0 as u32) << 16;
+            tail.copy_from_slice(&[sextet(n, 18), sextet(n, 12), b'=', b'=']);
+        }
+        [b0, b1] => {
+            let n = (b0 as u32) << 16 | (b1 as u32) << 8;
+            tail.copy_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), b'=']);
+        }
+        _ => {}
+    }
+    *out = String::from_utf8(buf).unwrap_or_else(|_| unreachable!("base64 output is ASCII"));
 }
 
 /// Decodes standard base64 (padding required for trailing groups, matching
@@ -90,6 +100,13 @@ mod tests {
         assert_eq!(encode(b"foob"), "Zm9vYg==");
         assert_eq!(encode(b"fooba"), "Zm9vYmE=");
         assert_eq!(encode(b"foobar"), "Zm9vYmFy");
+    }
+
+    #[test]
+    fn encode_into_appends_after_existing_text() {
+        let mut out = String::from("data:image/png;base64,");
+        encode_into(b"fooba", &mut out);
+        assert_eq!(out, "data:image/png;base64,Zm9vYmE=");
     }
 
     #[test]

@@ -62,6 +62,28 @@ impl ImageFormat {
     }
 }
 
+/// `toDataURL(mime, quality)` over a bare surface: unknown MIME types fall
+/// back to PNG, quality defaults to 0.92 and is clamped to `[0, 1]`. Both
+/// [`Canvas2D::to_data_url`] and read-back defenses that filter a copy of
+/// the surface go through here.
+pub fn to_data_url(surface: &Surface, mime: &str, quality: Option<f64>) -> String {
+    let format = ImageFormat::from_mime(mime);
+    let q = quality.unwrap_or(0.92).clamp(0.0, 1.0);
+    let bytes = match format {
+        ImageFormat::Png => png::encode(surface),
+        ImageFormat::Jpeg => encode_jpeg(surface, q),
+        ImageFormat::Webp => encode_webp(surface, q),
+    };
+    let mime = format.mime();
+    let mut url =
+        String::with_capacity("data:;base64,".len() + mime.len() + bytes.len().div_ceil(3) * 4);
+    url.push_str("data:");
+    url.push_str(mime);
+    url.push_str(";base64,");
+    crate::base64::encode_into(&bytes, &mut url);
+    url
+}
+
 /// Mutable drawing state saved/restored by `save()`/`restore()`.
 #[derive(Debug, Clone)]
 struct DrawState {
@@ -586,25 +608,9 @@ impl Canvas2D {
         }
     }
 
-    /// Encodes the surface in the given format (the `toDataURL` backend).
-    pub fn encode(&self, format: ImageFormat, quality: f64) -> Vec<u8> {
-        match format {
-            ImageFormat::Png => png::encode(&self.surface),
-            ImageFormat::Jpeg => encode_jpeg(&self.surface, quality),
-            ImageFormat::Webp => encode_webp(&self.surface, quality),
-        }
-    }
-
     /// `toDataURL(mime, quality)` — returns the full data-URL string.
     pub fn to_data_url(&self, mime: &str, quality: Option<f64>) -> String {
-        let format = ImageFormat::from_mime(mime);
-        let q = quality.unwrap_or(0.92).clamp(0.0, 1.0);
-        let bytes = self.encode(format, q);
-        format!(
-            "data:{};base64,{}",
-            format.mime(),
-            crate::base64::encode(&bytes)
-        )
+        to_data_url(&self.surface, mime, quality)
     }
 
     /// Composites a coverage mask with a paint, honoring `globalAlpha`,

@@ -50,7 +50,7 @@ pub mod stroke;
 pub mod surface;
 pub mod text;
 
-pub use canvas::{Canvas2D, ImageFormat};
+pub use canvas::{to_data_url, Canvas2D, ImageFormat};
 pub use color::Color;
 pub use device::DeviceProfile;
 pub use paint::{Gradient, Paint};
