@@ -79,6 +79,9 @@ pub struct CheckpointWriter {
     torn_hosts: BTreeSet<String>,
     poisoned: bool,
     records_written: usize,
+    /// Framing buffer reused across appends: after the first few
+    /// records it is large enough that framing allocates nothing.
+    line: Vec<u8>,
 }
 
 impl CheckpointWriter {
@@ -99,6 +102,7 @@ impl CheckpointWriter {
             torn_hosts: BTreeSet::new(),
             poisoned: false,
             records_written: 0,
+            line: Vec::new(),
         })
     }
 
@@ -137,15 +141,15 @@ impl CheckpointWriter {
         if self.poisoned {
             return Err(io::Error::other("checkpoint writer poisoned by torn write"));
         }
-        let line = frame(record)?;
+        frame(record, &mut self.line)?;
         if self.torn_hosts.remove(&record.url.host) {
-            self.tear_line(&line)?;
+            self.tear_line()?;
             return Err(io::Error::other(format!(
                 "torn write injected for {}",
                 record.url.host
             )));
         }
-        self.file.write_all(&line)?;
+        self.file.write_all(&self.line)?;
         self.file.flush()?;
         self.records_written += 1;
         Ok(())
@@ -159,30 +163,36 @@ impl CheckpointWriter {
     /// it to kill a shard worker at an exact record. The on-disk state is
     /// precisely what [`recover`] truncates away.
     pub fn tear(&mut self, record: &SiteRecord) -> io::Result<()> {
-        let line = frame(record)?;
-        self.tear_line(&line)
+        frame(record, &mut self.line)?;
+        self.tear_line()
     }
 
-    /// Crash mid-write: flush roughly half the line, no newline, and
-    /// poison the writer until recovery runs.
-    fn tear_line(&mut self, line: &[u8]) -> io::Result<()> {
-        let cut = line.len() / 2;
-        self.file.write_all(&line[..cut])?;
+    /// Crash mid-write: flush roughly half the framed line, no newline,
+    /// and poison the writer until recovery runs.
+    fn tear_line(&mut self) -> io::Result<()> {
+        let cut = self.line.len() / 2;
+        self.file.write_all(&self.line[..cut])?;
         self.file.flush()?;
         self.poisoned = true;
         Ok(())
     }
 }
 
-/// Frames `record` as one checkpoint line, `<crc32 hex> <json>\n`, in a
-/// buffer sized for it up front, so the JSON is copied exactly once.
-fn frame(record: &SiteRecord) -> io::Result<Vec<u8>> {
-    let json = serde_json::to_string(record).map_err(io::Error::other)?;
-    let mut line = Vec::with_capacity(8 + 1 + json.len() + 1);
-    write!(line, "{:08x} ", crc32(json.as_bytes()))?;
-    line.extend_from_slice(json.as_bytes());
+/// Length of a record line's `<crc32 hex> ` prefix.
+const CRC_PREFIX: usize = 9;
+
+/// Frames `record` as one checkpoint line, `<crc32 hex> <json>\n`, into
+/// `line` (cleared first). The JSON is serialized in place after a
+/// placeholder prefix, CRC'd where it lies, and the hex patched in, so
+/// the record's JSON exists exactly once.
+fn frame(record: &SiteRecord, line: &mut Vec<u8>) -> io::Result<()> {
+    line.clear();
+    line.extend_from_slice(b"00000000 ");
+    serde_json::to_writer(&mut *line, record).map_err(io::Error::other)?;
+    let crc = crc32(&line[CRC_PREFIX..]);
+    write!(&mut line[..CRC_PREFIX - 1], "{crc:08x}")?;
     line.push(b'\n');
-    Ok(line)
+    Ok(())
 }
 
 /// Reads a checkpoint, keeps the longest valid prefix, truncates the file

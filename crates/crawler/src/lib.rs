@@ -46,6 +46,8 @@
 pub mod breaker;
 pub mod checkpoint;
 pub mod dataset;
+#[cfg(test)]
+mod json_oracle;
 pub mod segment;
 pub mod supervisor;
 
@@ -896,8 +898,21 @@ pub fn resume_crawl(
     config: &CrawlConfig,
     checkpoint: &CrawlDataset,
 ) -> CrawlDataset {
-    let done: std::collections::BTreeMap<&Url, &SiteRecord> =
-        checkpoint.records.iter().map(|r| (&r.url, r)).collect();
+    resume_crawl_owned(network, frontier, config, checkpoint.records.clone())
+}
+
+/// [`resume_crawl`] over records the caller gives up: each recovered
+/// record is moved into its frontier slot rather than cloned. When a URL
+/// appears more than once in `records`, the last one wins; records for
+/// URLs outside the frontier are dropped.
+pub(crate) fn resume_crawl_owned(
+    network: &Network,
+    frontier: &[Url],
+    config: &CrawlConfig,
+    records: Vec<SiteRecord>,
+) -> CrawlDataset {
+    let mut done: std::collections::BTreeMap<Url, SiteRecord> =
+        records.into_iter().map(|r| (r.url.clone(), r)).collect();
     let todo: Vec<usize> = (0..frontier.len())
         .filter(|&i| !done.contains_key(&frontier[i]))
         .collect();
@@ -915,9 +930,14 @@ pub fn resume_crawl(
         plan.as_ref(),
     );
     let _ = flush_traces(config, traces);
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if slot.is_none() {
-            *slot = Some((*done[&frontier[i]]).clone());
+    for i in 0..slots.len() {
+        if slots[i].is_none() {
+            let url = &frontier[i];
+            // A URL the frontier lists twice: its first slot took the record.
+            slots[i] = done.remove(url).or_else(|| {
+                let first = frontier.iter().position(|u| u == url).unwrap_or(i);
+                slots[first].clone()
+            });
         }
     }
     CrawlDataset::from_slots(config, slots)

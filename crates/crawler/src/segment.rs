@@ -18,8 +18,9 @@
 //! (`shard003-seg00007.ckpt`) so a lexicographic sort of the spill
 //! directory reconstructs global frontier order without any manifest.
 //!
-//! [`merge_segments`] recovers every segment, concatenates the valid
-//! prefixes, and hands the union to [`crate::resume_crawl`] — which
+//! [`merge_segments`] recovers every segment (concurrently, on the
+//! crawl's worker count), concatenates the valid prefixes in listed
+//! order, and moves the union into [`crate::resume_crawl`]'s core — which
 //! recrawls whatever the spill lost and, because the breaker plan is
 //! always computed over the *full* frontier, produces a dataset
 //! byte-identical to a single uninterrupted `workers = 1` crawl. That
@@ -30,14 +31,15 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use canvassing_net::{Network, Url};
 use canvassing_trace::{TraceSink, VisitRecorder};
 
-use crate::checkpoint::{recover, CheckpointWriter};
+use crate::checkpoint::{recover, CheckpointWriter, RecoveryReport};
 use crate::dataset::{CrawlDataset, SiteRecord};
-use crate::{crawl_streamed_range_until, resume_crawl, shard_range, CrawlConfig};
+use crate::{crawl_streamed_range_until, resume_crawl_owned, shard_range, CrawlConfig};
 
 /// Rolls visit records into bounded CRC-framed segment files.
 ///
@@ -338,6 +340,11 @@ pub struct MergeReport {
 /// execution of a site produces the identical record, which occurrence
 /// wins is immaterial to the dataset. The exact accounting lands in
 /// [`MergeReport::duplicates_dropped`].
+///
+/// Segments are recovered on up to `config.workers` threads, then folded
+/// on the calling thread in listed order, so the dataset, the report,
+/// the order of `segment.merge` instants, and which error is returned
+/// (the first in listed order) do not depend on the worker count.
 pub fn merge_segments(
     network: &Network,
     frontier: &[Url],
@@ -345,16 +352,15 @@ pub fn merge_segments(
     segments: &[PathBuf],
     trace: Option<&Arc<dyn TraceSink>>,
 ) -> io::Result<(CrawlDataset, MergeReport)> {
-    let mut combined = CrawlDataset {
-        label: config.label.clone(),
-        device_id: config.device.id.clone(),
-        records: Vec::new(),
-    };
+    let mut records = Vec::new();
     let mut seen: std::collections::BTreeSet<Url> = std::collections::BTreeSet::new();
     let mut dirty = 0usize;
     let mut total = 0usize;
-    for path in segments {
-        let (dataset, report) = recover(path)?;
+    // Segments recover concurrently; everything order-sensitive (dedupe,
+    // accounting, `segment.merge` instants, which error surfaces) folds
+    // here on the calling thread in listed order.
+    for (path, recovered) in segments.iter().zip(recover_all(segments, config.workers)) {
+        let (dataset, report) = recovered?;
         if !report.clean() {
             dirty += 1;
         }
@@ -364,13 +370,13 @@ pub fn merge_segments(
         for record in dataset.records {
             total += 1;
             if seen.insert(record.url.clone()) {
-                combined.records.push(record);
+                records.push(record);
             }
         }
     }
-    let unique = combined.records.len();
+    let unique = records.len();
     let recrawled = frontier.iter().filter(|u| !seen.contains(u)).count();
-    let merged = resume_crawl(network, frontier, config, &combined);
+    let merged = resume_crawl_owned(network, frontier, config, records);
     let report = MergeReport {
         segments: segments.len(),
         records_recovered: unique,
@@ -379,6 +385,48 @@ pub fn merge_segments(
         recrawled,
     };
     Ok((merged, report))
+}
+
+type Recovered = io::Result<(CrawlDataset, RecoveryReport)>;
+
+/// Runs [`recover`] over `segments` on up to `workers` scoped threads,
+/// each pulling the next segment from a shared cursor, and returns the
+/// results in listed order. Once a recovery fails no thread claims
+/// another segment; claims go in listed order, so every segment before
+/// the failing one is still recovered and the returned prefix always
+/// reaches the first error in listed order.
+fn recover_all(segments: &[PathBuf], workers: usize) -> Vec<Recovered> {
+    // Relaxed is enough: neither atomic publishes data (results come back
+    // through `join`), and a late-seen `failed` only costs extra work.
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let drain = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(path) = segments.get(i) else { break };
+            let result = recover(path);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            done.push((i, result));
+        }
+        done
+    };
+    let workers = workers.clamp(1, segments.len().max(1));
+    let mut slots: Vec<Option<Recovered>> = segments.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots.into_iter().map_while(|slot| slot).collect()
 }
 
 /// One spill-side instant on an optional sink — the shared emission
@@ -557,6 +605,120 @@ mod tests {
         );
         fs::remove_dir_all(&dir_half).ok();
         fs::remove_dir_all(&dir_full).ok();
+    }
+
+    /// Copies every file of `from` into a fresh `to` (recovery truncates
+    /// torn tails in place, so each merge gets its own copy).
+    fn copy_dir(from: &Path, to: &Path) {
+        fs::remove_dir_all(to).ok();
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+
+    /// Merges `names` from a private copy of `src` at `workers`, returning
+    /// the serialized dataset, the report, and the `segment.merge`
+    /// instant details with the directory stripped.
+    fn merge_copy(
+        src: &Path,
+        names: &[String],
+        workers: usize,
+    ) -> io::Result<(String, MergeReport, Vec<String>)> {
+        let (web, frontier, mut config) = workload();
+        config.workers = workers;
+        let dir = tmp_dir(&format!("workers-{workers}"));
+        copy_dir(src, &dir);
+        let segments: Vec<PathBuf> = names.iter().map(|n| dir.join(n)).collect();
+        let sink = Arc::new(canvassing_trace::RingSink::new(1024));
+        let trace = Arc::clone(&sink) as Arc<dyn TraceSink>;
+        let merged = merge_segments(&web.network, &frontier, &config, &segments, Some(&trace));
+        let prefix = format!("{}/", dir.display());
+        let instants = sink
+            .traces()
+            .into_iter()
+            .flat_map(|t| t.events)
+            .filter_map(|e| match e.kind {
+                canvassing_trace::EventKind::Instant { name, detail, .. } => {
+                    Some(format!("{name} {}", detail.replace(&prefix, "")))
+                }
+                _ => None,
+            })
+            .collect();
+        fs::remove_dir_all(&dir).ok();
+        let (merged, report) = merged?;
+        Ok((serde_json::to_string(&merged).unwrap(), report, instants))
+    }
+
+    #[test]
+    fn merge_is_identical_at_one_and_four_workers() {
+        // Three shards into one directory, then shard 0 again under a
+        // second name (a duplicate execution listed after the first), and
+        // a torn tail on one mid-list segment.
+        let (web, frontier, config) = workload();
+        let src = tmp_dir("workers-src");
+        for shard in 0..3 {
+            crawl_shard_to_segments(&web.network, &frontier, &config, &src, shard, 3, 6, 4)
+                .unwrap();
+        }
+        let mut names: Vec<String> = list_segments(&src)
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect();
+        let dup = tmp_dir("workers-dup");
+        for path in
+            crawl_shard_to_segments(&web.network, &frontier, &config, &dup, 0, 3, 6, 4).unwrap()
+        {
+            let name = format!("dup-{}", path.file_name().unwrap().to_string_lossy());
+            fs::copy(&path, src.join(&name)).unwrap();
+            names.push(name);
+        }
+        let torn = src.join(&names[names.len() / 3]);
+        let bytes = fs::read(&torn).unwrap();
+        fs::write(&torn, &bytes[..bytes.len() - 40]).unwrap();
+
+        let one = merge_copy(&src, &names, 1).unwrap();
+        let four = merge_copy(&src, &names, 4).unwrap();
+        assert_eq!(one.0, four.0, "dataset");
+        assert_eq!(one.1, four.1, "merge report");
+        assert_eq!(one.2, four.2, "segment.merge instants, in listed order");
+        assert_eq!(one.1.segments_recovered_dirty, 1);
+        assert_eq!(one.1.recrawled, 1, "the torn record is recrawled");
+        assert!(one.1.duplicates_dropped > 0);
+        assert_eq!(one.2.len(), names.len());
+        let direct = crate::crawl(&web.network, &frontier, &config);
+        assert_eq!(one.0, serde_json::to_string(&direct).unwrap());
+        fs::remove_dir_all(&src).ok();
+        fs::remove_dir_all(&dup).ok();
+    }
+
+    #[test]
+    fn merge_returns_the_first_error_in_listed_order_at_any_worker_count() {
+        let (web, frontier, config) = workload();
+        let src = tmp_dir("workers-err-src");
+        let mut names: Vec<String> =
+            crawl_shard_to_segments(&web.network, &frontier, &config, &src, 0, 1, 6, 4)
+                .unwrap()
+                .iter()
+                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+                .collect();
+        // A bad header mid-list, and a later segment failing differently.
+        fs::write(src.join("bad-header.ckpt"), b"not json\n").unwrap();
+        fs::write(
+            src.join("bad-version.ckpt"),
+            b"{\"version\":9,\"label\":\"control\",\"device_id\":\"x\"}\n",
+        )
+        .unwrap();
+        let mid = names.len() / 2;
+        names.insert(mid, "bad-header.ckpt".into());
+        names.push("bad-version.ckpt".into());
+        for workers in [1, 4] {
+            let err = merge_copy(&src, &names, workers).unwrap_err();
+            assert!(err.to_string().contains("bad header"), "{workers}: {err}");
+        }
+        fs::remove_dir_all(&src).ok();
     }
 
     #[test]
