@@ -3,14 +3,22 @@
 //! stub `serde::Serialize` / `serde::Deserialize` traits, which map values
 //! through a simple JSON tree. Supports non-generic named-field structs,
 //! tuple structs, and enums with unit / tuple / struct variants — the full
-//! shape inventory of this workspace.
+//! shape inventory of this workspace. The one field attribute understood
+//! is real serde's `#[serde(skip)]`: the field is left out on write and
+//! filled with `Default::default()` on read.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Shape {
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Tuple(usize),
     Unit,
+}
+
+struct Field {
+    name: String,
+    /// `#[serde(skip)]`: never written, `Default` on read.
+    skip: bool,
 }
 
 struct Variant {
@@ -23,12 +31,36 @@ enum Parsed {
     Enum { name: String, variants: Vec<Variant> },
 }
 
-fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
+/// Whether an attribute body (the tokens inside `#[...]`) is
+/// `serde(skip)`. Any other `serde(...)` attribute is rejected rather than
+/// silently ignored.
+fn is_serde_skip(attr: &TokenTree) -> bool {
+    let TokenTree::Group(g) = attr else {
+        return false;
+    };
+    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+    match inner.as_slice() {
+        [TokenTree::Ident(id), TokenTree::Group(args)] if id.to_string() == "serde" => {
+            let args = args.stream().to_string();
+            assert!(
+                args == "skip",
+                "serde_derive stub: unsupported attribute serde({args})"
+            );
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Skips attributes and a visibility qualifier; `skip` is set when one
+/// of the attributes is `#[serde(skip)]`.
+fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize, skip: &mut bool) -> usize {
     loop {
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 i += 1;
-                if let Some(TokenTree::Group(_)) = tokens.get(i) {
+                if let Some(attr @ TokenTree::Group(_)) = tokens.get(i) {
+                    *skip |= is_serde_skip(attr);
                     i += 1;
                 }
             }
@@ -46,11 +78,12 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
 }
 
 /// Parses named fields from the tokens of a brace group.
-fn parse_named_fields(tokens: &[TokenTree]) -> Vec<String> {
+fn parse_named_fields(tokens: &[TokenTree]) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        i = skip_attrs_and_vis(tokens, i);
+        let mut skip = false;
+        i = skip_attrs_and_vis(tokens, i, &mut skip);
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             _ => break,
@@ -61,7 +94,7 @@ fn parse_named_fields(tokens: &[TokenTree]) -> Vec<String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
             _ => break,
         }
-        fields.push(name);
+        fields.push(Field { name, skip });
         // consume the type until a comma at angle depth 0
         let mut angle: i32 = 0;
         while i < tokens.len() {
@@ -107,7 +140,7 @@ fn parse_variants(tokens: &[TokenTree]) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        i = skip_attrs_and_vis(tokens, i);
+        i = skip_attrs_and_vis(tokens, i, &mut false);
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             _ => break,
@@ -147,7 +180,7 @@ fn parse_variants(tokens: &[TokenTree]) -> Vec<Variant> {
 
 fn parse(input: TokenStream) -> Parsed {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = skip_attrs_and_vis(&tokens, 0);
+    let mut i = skip_attrs_and_vis(&tokens, 0, &mut false);
     let kind = match &tokens[i] {
         TokenTree::Ident(id) => id.to_string(),
         other => panic!("serde_derive stub: expected struct/enum, got {other}"),
@@ -205,25 +238,49 @@ fn parse(input: TokenStream) -> Parsed {
     }
 }
 
-#[proc_macro_derive(Serialize)]
+/// `("name", value)` entries of the written fields, each read through
+/// `{access}{name}`: `&self.name` for structs, the bound `name` for enum
+/// variants.
+fn ser_fields(fields: &[Field], access: &str) -> String {
+    let items: Vec<String> = fields
+        .iter()
+        .filter(|f| !f.skip)
+        .map(|f| {
+            let n = &f.name;
+            format!("(\"{n}\".to_string(), ::serde::Serialize::to_json_value({access}{n}))")
+        })
+        .collect();
+    items.join(", ")
+}
+
+/// Field initializers read from the object bound to `obj`; skipped
+/// fields take their `Default`.
+fn de_fields(fields: &[Field], obj: &str) -> String {
+    let items: Vec<String> = fields
+        .iter()
+        .map(|f| {
+            let n = &f.name;
+            if f.skip {
+                format!("{n}: ::core::default::Default::default(),")
+            } else {
+                format!(
+                    "{n}: ::serde::Deserialize::from_json_value(::serde::__get({obj}, \"{n}\")?)?,"
+                )
+            }
+        })
+        .collect();
+    items.join(" ")
+}
+
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let out = match parse(input) {
         Parsed::Struct { name, shape } => {
             let body = match shape {
-                Shape::Named(fields) => {
-                    let items: Vec<String> = fields
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(\"{f}\".to_string(), ::serde::Serialize::to_json_value(&self.{f}))"
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "::serde::json_value::JsonValue::Obj(vec![{}])",
-                        items.join(", ")
-                    )
-                }
+                Shape::Named(fields) => format!(
+                    "::serde::json_value::JsonValue::Obj(vec![{}])",
+                    ser_fields(&fields, "&self.")
+                ),
                 Shape::Tuple(n) => {
                     let items: Vec<String> = (0..n)
                         .map(|i| format!("::serde::Serialize::to_json_value(&self.{i})"))
@@ -263,18 +320,14 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                             )
                         }
                         Shape::Named(fields) => {
-                            let binds = fields.join(", ");
-                            let items: Vec<String> = fields
+                            let binds: String = fields
                                 .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(\"{f}\".to_string(), ::serde::Serialize::to_json_value({f}))"
-                                    )
-                                })
+                                .filter(|f| !f.skip)
+                                .map(|f| format!("{}, ", f.name))
                                 .collect();
                             format!(
-                                "{name}::{vn} {{ {binds} }} => ::serde::json_value::JsonValue::Obj(vec![(\"{vn}\".to_string(), ::serde::json_value::JsonValue::Obj(vec![{items}]))]),",
-                                items = items.join(", ")
+                                "{name}::{vn} {{ {binds}.. }} => ::serde::json_value::JsonValue::Obj(vec![(\"{vn}\".to_string(), ::serde::json_value::JsonValue::Obj(vec![{items}]))]),",
+                                items = ser_fields(fields, "")
                             )
                         }
                     }
@@ -291,25 +344,15 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     out.parse().expect("serde_derive stub: generated code parses")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let out = match parse(input) {
         Parsed::Struct { name, shape } => {
             let body = match shape {
-                Shape::Named(fields) => {
-                    let items: Vec<String> = fields
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "{f}: ::serde::Deserialize::from_json_value(::serde::__get(__obj, \"{f}\")?)?,"
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "let __obj = ::serde::__as_obj(v)?;\nOk({name} {{ {} }})",
-                        items.join(" ")
-                    )
-                }
+                Shape::Named(fields) => format!(
+                    "let __obj = ::serde::__as_obj(v)?;\nOk({name} {{ {} }})",
+                    de_fields(&fields, "__obj")
+                ),
                 Shape::Tuple(n) => {
                     let items: Vec<String> = (0..n)
                         .map(|i| {
@@ -354,17 +397,9 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                         ));
                     }
                     Shape::Named(fields) => {
-                        let items: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_json_value(::serde::__get(__inner, \"{f}\")?)?,"
-                                )
-                            })
-                            .collect();
                         tagged_arms.push_str(&format!(
                             "\"{vn}\" => {{ let __inner = ::serde::__as_obj(__payload)?; Ok({name}::{vn} {{ {} }}) }}\n",
-                            items.join(" ")
+                            de_fields(fields, "__inner")
                         ));
                     }
                 }

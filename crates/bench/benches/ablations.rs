@@ -29,9 +29,10 @@ fn detections() -> Vec<SiteDetection> {
         .collect()
 }
 
-/// Clustering-key ablation: exact data-URL keys (what the pipeline uses —
-/// collision-free, matching the paper's "exactly the same output") vs
-/// 64-bit content hashes (faster, but a collision would merge clusters).
+/// Clustering-key ablation: exact data-URL keys (collision-free, matching
+/// the paper's "exactly the same output") vs bare 64-bit content hashes
+/// (faster, but a collision would merge clusters). The pipeline's
+/// `ClusterAccumulator` keys on the hash and compares the bytes on a hit.
 fn bench_cluster_key(c: &mut Criterion) {
     let dets = detections();
     let mut group = c.benchmark_group("ablations/cluster_key");

@@ -8,7 +8,8 @@
 //!
 //! * prevalence scalars plus a canvases-per-site **histogram** (not the
 //!   per-site vector);
-//! * a mergeable cluster map keyed by canvas bytes;
+//! * a mergeable cluster map keyed by canvas content hash, with the
+//!   canvas bytes as collision check;
 //! * evasion / blocklist-coverage counters;
 //! * the static-vs-dynamic vote map keyed by unique script body;
 //! * fidelity-tier bias accounting;
@@ -137,17 +138,17 @@ impl CohortAccumulator {
     /// zeroed — they come from the crawl scheduler and the corpus pass,
     /// not the record stream — and `detections` holds the retained
     /// fingerprinting-site projection in site order.
-    pub fn finish(&self, cohort: Cohort) -> CohortAnalysis {
+    pub fn finish(self, cohort: Cohort) -> CohortAnalysis {
         CohortAnalysis {
             cohort,
             attempted: self.attempted,
-            detections: self.retained.values().cloned().collect(),
-            clustering: self.clusters.finish(),
+            detections: self.retained.into_values().collect(),
+            clustering: self.clusters.into_clustering(),
             prevalence: self.prevalence.finish(self.attempted),
-            evasion: self.evasion.clone(),
-            coverage: self.coverage.clone(),
-            failures: self.failures.clone(),
-            bias: self.bias.clone(),
+            evasion: self.evasion,
+            coverage: self.coverage,
+            failures: self.failures,
+            bias: self.bias,
             static_dynamic: self.votes.finish(),
             perf: CrawlStats::default(),
             bytecode: BytecodeTriageStats::default(),
@@ -216,7 +217,7 @@ mod tests {
     }
 
     fn fingerprint(acc: &CohortAccumulator) -> String {
-        serde_json::to_string(&acc.finish(Cohort::Popular)).unwrap()
+        serde_json::to_string(&acc.clone().finish(Cohort::Popular)).unwrap()
     }
 
     /// The accumulator reproduces the batch `analyze_cohort` output

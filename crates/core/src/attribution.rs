@@ -260,7 +260,7 @@ fn imperva_matches(re: &Regex, canvas: &crate::detect::FpCanvas, clustering: &Cl
         return false;
     }
     let singleton = clustering
-        .find(&canvas.data_url)
+        .find(canvas.hash, &canvas.data_url)
         .map(|cl| cl.site_count() == 1)
         .unwrap_or(false);
     if !singleton {

@@ -40,9 +40,10 @@ pub const MIN_CANVAS_EDGE: u32 = 16;
 pub struct FpCanvas {
     /// Host of the page the canvas was extracted on.
     pub site: String,
-    /// The full data URL (the clustering key).
+    /// The full data URL (the canvas identity: clusters key on `hash`
+    /// and compare these bytes on a hash hit).
     pub data_url: String,
-    /// Stable content hash of the data URL.
+    /// Stable content hash of the data URL, as cached on its extraction.
     pub hash: u64,
     /// URL of the extracting script (page URL for bundled code).
     pub script_url: Url,
@@ -106,18 +107,6 @@ pub fn detect(visit: &PageVisit) -> SiteDetection {
         }
     }
 
-    // Script metadata lookup by attributed URL.
-    let script_info = |url_str: &str| -> (bool, bool) {
-        // returns (inline, cname_cloaked)
-        for s in &visit.scripts {
-            if s.url.to_string() == url_str {
-                return (s.inline, s.cname_cloaked);
-            }
-        }
-        (false, false)
-    };
-
-    let page_str = visit.page.to_string();
     let mut out = SiteDetection {
         site: visit.page.host.clone(),
         ..SiteDetection::default()
@@ -136,9 +125,21 @@ pub fn detect(visit: &PageVisit) -> SiteDetection {
         match verdict {
             Err(reason) => out.excluded.push((reason, e.script_url.clone())),
             Ok(()) => {
-                let script_url = Url::parse(&e.script_url).unwrap_or_else(|_| visit.page.clone());
-                let (mut inline, cloaked) = script_info(&e.script_url);
-                if e.script_url == page_str {
+                // Script metadata by attributed URL, matched without
+                // rendering each script's URL to a string.
+                let (script_url, mut inline, cloaked) =
+                    match visit.scripts.iter().find(|s| s.url.eq_str(&e.script_url)) {
+                        Some(s) => {
+                            debug_assert_eq!(Url::parse(&e.script_url).as_ref(), Ok(&s.url));
+                            (s.url.clone(), s.inline, s.cname_cloaked)
+                        }
+                        None => (
+                            Url::parse(&e.script_url).unwrap_or_else(|_| visit.page.clone()),
+                            false,
+                            false,
+                        ),
+                    };
+                if visit.page.eq_str(&e.script_url) {
                     inline = true;
                 }
                 let party = if inline {
@@ -148,7 +149,7 @@ pub fn detect(visit: &PageVisit) -> SiteDetection {
                 };
                 out.canvases.push(FpCanvas {
                     site: visit.page.host.clone(),
-                    hash: canvassing_raster::content_hash(e.data_url.as_bytes()),
+                    hash: e.content_hash(),
                     data_url: e.data_url.clone(),
                     cdn: !inline && is_popular_cdn(&script_url.host),
                     script_url,
@@ -163,12 +164,13 @@ pub fn detect(visit: &PageVisit) -> SiteDetection {
     }
 
     // Double-render signature: an identical fingerprintable canvas
-    // extracted at least twice on this page.
-    let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
-    for c in &out.canvases {
-        *counts.entry(c.data_url.as_str()).or_default() += 1;
-    }
-    out.double_render_check = counts.values().any(|&n| n >= 2);
+    // extracted at least twice on this page. Keyed hash first, so bytes
+    // are compared only between canvases whose hashes agree.
+    let mut seen: std::collections::BTreeSet<(u64, &str)> = Default::default();
+    out.double_render_check = out
+        .canvases
+        .iter()
+        .any(|c| !seen.insert((c.hash, c.data_url.as_str())));
     out
 }
 

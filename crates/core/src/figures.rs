@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::Clustering;
+use crate::cluster::{Cluster, Clustering};
 
 /// One bar of Figure 1.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,8 +32,11 @@ pub struct Figure1 {
 impl Figure1 {
     /// Builds Figure 1 from both cohorts' clusterings.
     pub fn build(popular: &Clustering, tail: &Clustering, k: usize) -> Figure1 {
-        let tail_count =
-            |data_url: &str| -> usize { tail.find(data_url).map(|c| c.site_count()).unwrap_or(0) };
+        let tail_count = |c: &Cluster| -> usize {
+            tail.find(c.hash, &c.data_url)
+                .map(Cluster::site_count)
+                .unwrap_or(0)
+        };
         let bars: Vec<Fig1Bar> = popular
             .clusters
             .iter()
@@ -42,15 +45,15 @@ impl Figure1 {
             .map(|(i, c)| Fig1Bar {
                 rank: i + 1,
                 popular_sites: c.site_count(),
-                tail_sites: tail_count(&c.data_url),
+                tail_sites: tail_count(c),
             })
             .collect();
 
         // The §4.2 outlier: most frequent tail canvas vs its popular use.
         let tail_outlier = tail.clusters.first().map(|c| {
             let popular_sites = popular
-                .find(&c.data_url)
-                .map(|p| p.site_count())
+                .find(c.hash, &c.data_url)
+                .map(Cluster::site_count)
                 .unwrap_or(0);
             (popular_sites, c.site_count())
         });

@@ -616,19 +616,13 @@ fn finish_study(
         let m1_ds = crawl(&web.network, popular_frontier, &config);
         let m1_det: Vec<SiteDetection> = m1_ds.successful().map(|(_, v)| detect(v)).collect();
         let m1_clustering = Clustering::build(m1_det.iter());
-        let intel_urls: std::collections::BTreeSet<&str> = popular
-            .clustering
-            .clusters
-            .iter()
-            .map(|c| c.data_url.as_str())
-            .collect();
-        let m1_urls: std::collections::BTreeSet<&str> = m1_clustering
-            .clusters
-            .iter()
-            .map(|c| c.data_url.as_str())
-            .collect();
+        let (intel_canvases, m1_canvases) = (
+            popular.clustering.canvas_keys(),
+            m1_clustering.canvas_keys(),
+        );
         Some(ValidationResult {
-            canvases_differ: intel_urls.is_disjoint(&m1_urls) || intel_urls != m1_urls,
+            canvases_differ: intel_canvases.is_disjoint(&m1_canvases)
+                || intel_canvases != m1_canvases,
             partitions_match: popular.clustering.site_partition() == m1_clustering.site_partition(),
             unique_canvases: (
                 popular.clustering.unique_canvases(),

@@ -5,7 +5,8 @@
 //! byte-at-a-time unescape it replaced live on here as references: the
 //! stand-in is not a workspace member, so tests placed in it never run,
 //! and every checkpoint CRC depends on the escaped bytes staying exactly
-//! what these oracles produce.
+//! what these oracles produce. The derive stand-in's one field attribute,
+//! `#[serde(skip)]`, is round-tripped here for the same reason.
 
 /// The char-at-a-time escape: a JSON string literal for `s`.
 fn escape_oracle(s: &str) -> String {
@@ -195,4 +196,65 @@ fn to_writer_writes_the_bytes_of_to_string() {
     }
     let err = serde_json::to_writer(Full(5), &values).unwrap_err();
     assert!(err.to_string().contains("disk full"), "{err}");
+}
+
+/// `#[serde(skip)]`, as real serde reads it: the field is never written,
+/// and reading fills it with `Default` (an empty cache cell here).
+#[test]
+fn serde_skip_fields_are_not_written_and_read_as_default() {
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Debug, Serialize, Deserialize)]
+    struct Record {
+        id: u64,
+        /// A cache, not data.
+        #[serde(skip)]
+        memo: std::sync::OnceLock<u64>,
+        #[serde(skip)]
+        scratch: Vec<String>,
+        name: String,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Event {
+        Seen {
+            #[serde(skip)]
+            cached: Option<u32>,
+            at: u64,
+        },
+        Gone,
+    }
+
+    let r = Record {
+        id: 7,
+        memo: std::sync::OnceLock::from(99),
+        scratch: vec!["x".into()],
+        name: "a\"b".into(),
+    };
+    let json = serde_json::to_string(&r).unwrap();
+    assert_eq!(json, r#"{"id":7,"name":"a\"b"}"#);
+    let back: Record = serde_json::from_str(&json).unwrap();
+    assert_eq!((back.id, back.name.as_str()), (7, "a\"b"));
+    assert_eq!(back.memo.get(), None);
+    assert!(back.scratch.is_empty());
+    // A skipped field present in the input is ignored, as in real serde.
+    let back: Record = serde_json::from_str(r#"{"id":1,"memo":5,"name":""}"#).unwrap();
+    assert_eq!(back.memo.get(), None);
+
+    let e = Event::Seen {
+        cached: Some(3),
+        at: 12,
+    };
+    let json = serde_json::to_string(&e).unwrap();
+    assert_eq!(json, r#"{"Seen":{"at":12}}"#);
+    let back: Event = serde_json::from_str(&json).unwrap();
+    assert_eq!(
+        back,
+        Event::Seen {
+            cached: None,
+            at: 12
+        }
+    );
+    let gone: Event = serde_json::from_str(&serde_json::to_string(&Event::Gone).unwrap()).unwrap();
+    assert_eq!(gone, Event::Gone);
 }

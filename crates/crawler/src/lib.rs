@@ -1328,6 +1328,50 @@ mod tests {
         assert_eq!(stats.static_analyses, 1);
     }
 
+    /// Every extraction's content hash is the FNV-1a of its data URL:
+    /// live read-backs, memo replays, per-render noise, and visits read
+    /// back from dataset JSON (where the hash is not stored).
+    #[test]
+    fn extraction_hashes_are_fnv_of_their_bytes_on_every_path() {
+        let (network, frontier) = network_with_sites(12);
+        let check = |ds: &CrawlDataset| -> Vec<u64> {
+            let hashes: Vec<u64> = ds
+                .successful()
+                .flat_map(|(_, v)| &v.extractions)
+                .map(|e| {
+                    let fnv = canvassing_raster::content_hash(e.data_url.as_bytes());
+                    assert_eq!(e.content_hash(), fnv);
+                    fnv
+                })
+                .collect();
+            assert_eq!(hashes.len(), 6, "one extraction per fingerprinting site");
+            hashes
+        };
+        let (replayed, stats) = crawl_with_stats(&network, &frontier, &CrawlConfig::control());
+        assert!(stats.memo_hits >= 5, "replays are covered");
+        let same = check(&replayed);
+        assert!(same.iter().all(|&h| h == same[0]), "one canonical render");
+
+        let mut config = CrawlConfig::control();
+        config.caching.render_memo = false;
+        check(&crawl(&network, &frontier, &config));
+
+        config.defense = DefenseMode::RandomizePerRender { seed: 9 };
+        let defended = crawl(&network, &frontier, &config);
+        let noised = check(&defended);
+        assert!(
+            noised.iter().any(|&h| h != noised[0]),
+            "noise reaches the hash"
+        );
+
+        for ds in [&replayed, &defended] {
+            let json = ds.to_json().unwrap();
+            let reloaded = CrawlDataset::from_json(&json).unwrap();
+            assert_eq!(check(&reloaded), check(ds));
+            assert_eq!(reloaded.to_json().unwrap(), json);
+        }
+    }
+
     #[test]
     fn static_triage_runs_once_per_unique_hash_across_worker_counts() {
         // Acceptance: analysis runs exactly once per unique script hash,

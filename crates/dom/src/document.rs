@@ -2,7 +2,7 @@
 //! [`Host`] implementation that exposes them to canvascript.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use canvassing_raster::canvas::ImageFormat;
 use canvassing_raster::{Canvas2D, DeviceProfile, Surface, SurfacePool};
@@ -216,6 +216,8 @@ impl Document {
                 width: e.width,
                 height: e.height,
                 script_url: script_url.to_string(),
+                // Same bytes as the canonical render: carry its hash.
+                hash: e.hash.clone(),
             });
         }
         self.clock_ms += calls.len() as u64;
@@ -293,6 +295,8 @@ impl Document {
             width: canvas.width(),
             height: canvas.height(),
             script_url: self.current_script_url.clone(),
+            // Hash the bytes once, here, where they are made.
+            hash: OnceLock::from(canvassing_raster::content_hash(url.as_bytes())),
         });
         url
     }
@@ -900,6 +904,84 @@ mod tests {
         "#;
         let v = eval(src, &mut d).unwrap();
         assert!(!v.truthy(), "per-render noise must differ across renders");
+    }
+
+    /// Every extraction's hash cell was filled where its bytes were made
+    /// and holds the FNV-1a of its data URL; returns the hashes.
+    fn cached_hashes(extractions: &[Extraction]) -> Vec<u64> {
+        assert!(!extractions.is_empty());
+        extractions
+            .iter()
+            .map(|e| {
+                let fnv = canvassing_raster::content_hash(e.data_url.as_bytes());
+                assert_eq!(e.hash.get(), Some(&fnv), "hash cached at read-back");
+                fnv
+            })
+            .collect()
+    }
+
+    #[test]
+    fn live_readbacks_cache_their_content_hash() {
+        let mut d = doc();
+        eval(FP_SCRIPT, &mut d).unwrap();
+        cached_hashes(d.extractions());
+
+        let mut d = doc();
+        d.set_defense(ReadbackDefense::Block);
+        eval(FP_SCRIPT, &mut d).unwrap();
+        cached_hashes(d.extractions());
+
+        /// Per-render noise: each read-back of one canvas differs.
+        struct Noise;
+        impl PixelFilter for Noise {
+            fn filter(&mut self, _i: usize, surface: &mut Surface, invocation: u64) {
+                if let Some(b) = surface.data_mut().first_mut() {
+                    *b = b.wrapping_add(invocation as u8);
+                }
+            }
+        }
+        let mut d = doc();
+        d.set_defense(ReadbackDefense::Filter(Box::new(Noise)));
+        eval(
+            r#"
+            let c = document.createElement("canvas");
+            c.width = 20; c.height = 20;
+            c.getContext("2d").fillRect(0, 0, 20, 20);
+            c.toDataURL();
+            c.toDataURL();
+        "#,
+            &mut d,
+        )
+        .unwrap();
+        let hashes = cached_hashes(d.extractions());
+        assert_ne!(
+            hashes[0], hashes[1],
+            "each noised read-back hashes its own bytes"
+        );
+    }
+
+    #[test]
+    fn absorbed_renders_carry_the_canonical_hash() {
+        let mut scratch = doc();
+        eval(FP_SCRIPT, &mut scratch).unwrap();
+        let created = scratch.canvas_count();
+        let (calls, extractions) = scratch.into_records();
+        let canonical = cached_hashes(&extractions);
+
+        let mut d = doc();
+        eval(
+            r#"let c = document.createElement("canvas"); c.toDataURL();"#,
+            &mut d,
+        )
+        .unwrap();
+        d.absorb_render(&calls, &extractions, created, "https://cdn.example/fp.js");
+        d.absorb_render(&calls, &extractions, created, "https://cdn.example/fp.js");
+        let hashes = cached_hashes(d.extractions());
+        assert_eq!(hashes[1..], [canonical[0], canonical[0]]);
+        assert_eq!(
+            d.extractions()[2].seq,
+            d.extractions()[1].seq + calls.len() as u64
+        );
     }
 
     #[test]

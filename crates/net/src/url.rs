@@ -139,11 +139,36 @@ impl Url {
     pub fn filename(&self) -> &str {
         self.path.rsplit('/').next().unwrap_or("")
     }
+
+    /// Whether `s` is exactly this URL's string form (`to_string()`),
+    /// compared piece by piece without allocating.
+    pub fn eq_str(&self, s: &str) -> bool {
+        /// Consumes the expected string as the URL is written into it.
+        struct Expect<'a>(&'a str);
+        impl std::fmt::Write for Expect<'_> {
+            fn write_str(&mut self, part: &str) -> std::fmt::Result {
+                self.0 = self.0.strip_prefix(part).ok_or(std::fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut expect = Expect(s);
+        std::fmt::write(&mut expect, format_args!("{self}")).is_ok() && expect.0.is_empty()
+    }
 }
 
 impl std::fmt::Display for Url {
+    /// `origin()` then `path_and_query()`, written without building
+    /// either string.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}{}", self.origin(), self.path_and_query())
+        write!(f, "{}://{}", self.scheme, self.host)?;
+        if let Some(p) = self.port {
+            write!(f, ":{p}")?;
+        }
+        f.write_str(&self.path)?;
+        if let Some(q) = &self.query {
+            write!(f, "?{q}")?;
+        }
+        Ok(())
     }
 }
 
@@ -158,6 +183,39 @@ impl std::str::FromStr for Url {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn display_matches_origin_plus_path_and_query() {
+        for input in [
+            "https://a.com",
+            "https://a.com/x.js",
+            "http://cdn.b.net:8080/lib/fp.js?v=3",
+            "https://c.org/?",
+            "https://d.io:443/p?q=1&r=2",
+        ] {
+            let u = Url::parse(input).unwrap();
+            let s = u.to_string();
+            assert_eq!(s, format!("{}{}", u.origin(), u.path_and_query()));
+            assert!(u.eq_str(&s), "{s}");
+        }
+    }
+
+    #[test]
+    fn eq_str_rejects_prefixes_extensions_and_differences() {
+        let u = Url::parse("http://cdn.b.net:8080/lib/fp.js?v=3").unwrap();
+        assert!(u.eq_str("http://cdn.b.net:8080/lib/fp.js?v=3"));
+        for other in [
+            "",
+            "http://cdn.b.net:8080/lib/fp.js",
+            "http://cdn.b.net:8080/lib/fp.js?v=34",
+            "http://cdn.b.net:808/lib/fp.js?v=3",
+            "https://cdn.b.net:8080/lib/fp.js?v=3",
+            "http://cdn.b.net/lib/fp.js?v=3",
+            "http://CDN.b.net:8080/lib/fp.js?v=3",
+        ] {
+            assert!(!u.eq_str(other), "{other}");
+        }
+    }
 
     #[test]
     fn parses_simple_url() {
