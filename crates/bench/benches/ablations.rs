@@ -100,10 +100,11 @@ fn bench_imperva_regex(c: &mut Criterion) {
     });
 }
 
-/// Blocklist matcher ablation: linear per-rule scan vs the
-/// domain-indexed matcher, over the generated EasyList corpus.
-fn bench_blocklist_index(c: &mut Criterion) {
-    use canvassing_blocklist::{FilterList, IndexedFilterList, RequestContext};
+/// Blocklist matcher ablation: the linear per-rule scan kept as the
+/// test oracle vs the token-indexed matcher the pipeline uses, over the
+/// generated EasyList corpus.
+fn bench_blocklist_matcher(c: &mut Criterion) {
+    use canvassing_blocklist::{FilterList, RequestContext};
     use canvassing_net::{ResourceType, Url};
 
     let web = SyntheticWeb::generate(WebConfig {
@@ -111,31 +112,30 @@ fn bench_blocklist_index(c: &mut Criterion) {
         scale: 0.3,
     });
     let list = FilterList::parse("EasyList", &web.lists.easylist);
-    let indexed = IndexedFilterList::build(&list);
     let urls: Vec<Url> = (0..40)
         .map(|i| Url::parse(&format!("https://ads{i}-delivery.com/fp.js")).unwrap())
         .chain((0..40).map(|i| Url::parse(&format!("https://clean{i}.example/app.js")).unwrap()))
         .collect();
     let contexts: Vec<RequestContext> = urls
         .iter()
-        .map(|u| RequestContext::new(u.clone(), ResourceType::Script, false, "page.example"))
+        .map(|u| RequestContext::new(u, ResourceType::Script, false, "page.example"))
         .collect();
 
     let mut group = c.benchmark_group("ablations/blocklist_matcher");
-    group.bench_function("linear_scan", |b| {
+    group.bench_function("linear_oracle", |b| {
         b.iter(|| {
             let blocked = contexts
                 .iter()
-                .filter(|ctx| list.evaluate(ctx).is_block())
+                .filter(|ctx| list.evaluate_linear(ctx).is_block())
                 .count();
             black_box(blocked)
         })
     });
-    group.bench_function("domain_indexed", |b| {
+    group.bench_function("token_indexed", |b| {
         b.iter(|| {
             let blocked = contexts
                 .iter()
-                .filter(|ctx| indexed.is_blocked(ctx))
+                .filter(|ctx| list.evaluate(ctx).is_block())
                 .count();
             black_box(blocked)
         })
@@ -146,6 +146,6 @@ fn bench_blocklist_index(c: &mut Criterion) {
 criterion_group! {
     name = ablation_benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_cluster_key, bench_key_agreement, bench_imperva_regex, bench_blocklist_index
+    targets = bench_cluster_key, bench_key_agreement, bench_imperva_regex, bench_blocklist_matcher
 }
 criterion_main!(ablation_benches);

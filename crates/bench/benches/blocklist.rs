@@ -46,8 +46,7 @@ fn bench_match(c: &mut Criterion) {
         b.iter(|| {
             let mut blocked = 0;
             for url in &urls {
-                let ctx =
-                    RequestContext::new(url.clone(), ResourceType::Script, false, "page.example");
+                let ctx = RequestContext::new(url, ResourceType::Script, false, "page.example");
                 if list.evaluate(&ctx).is_block() {
                     blocked += 1;
                 }

@@ -17,18 +17,19 @@
 //!    options, party constraints, `domain=` scoping, and `@@` exceptions?
 //!    This drives the Table 2 re-crawls, and the gap between (1) and (2)
 //!    is the paper's §5.2 finding.
+//!
+//! Both go through one token-indexed matcher built by [`FilterList::parse`];
+//! the linear scan, [`FilterList::evaluate_linear`], is its test oracle.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod index;
 pub mod list;
 pub mod matcher;
 #[cfg(test)]
 mod proptests;
 pub mod rule;
 
-pub use index::IndexedFilterList;
 pub use list::{DisconnectList, FilterList, Verdict};
 pub use matcher::{pattern_matches, rule_matches, RequestContext};
 pub use rule::{parse_line, Anchor, FilterRule, PartyOption, PatternToken, Skipped, TypeOption};

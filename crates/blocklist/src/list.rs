@@ -5,7 +5,7 @@ use canvassing_net::{ResourceType, Url};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-use crate::matcher::{rule_matches, RequestContext};
+use crate::matcher::{lowered, rule_matches, RequestContext, RuleIndex};
 use crate::rule::{parse_line, FilterRule};
 
 /// Outcome of evaluating a request against a filter list.
@@ -31,17 +31,28 @@ impl Verdict {
     }
 }
 
-/// A parsed ABP-syntax filter list (EasyList / EasyPrivacy shaped).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A parsed ABP-syntax filter list (EasyList / EasyPrivacy shaped),
+/// compiled at parse time into a token index over its rules.
+#[derive(Debug, Clone, Default)]
 pub struct FilterList {
     /// List name, for reporting (e.g. `"EasyList"`).
     pub name: String,
-    /// Blocking rules.
-    pub rules: Vec<FilterRule>,
-    /// Exception rules.
-    pub exceptions: Vec<FilterRule>,
+    blocking: RuleIndex,
+    exceptions: RuleIndex,
     /// Number of input lines skipped during parsing.
     pub skipped: usize,
+}
+
+/// The verdict on a request whose first matching blocking rule is
+/// `block`, given its first matching exception rule.
+fn verdict(block: &FilterRule, exception: Option<&FilterRule>) -> Verdict {
+    match exception {
+        None => Verdict::Block(block.raw.clone()),
+        Some(exc) => Verdict::Excepted {
+            block: block.raw.clone(),
+            exception: exc.raw.clone(),
+        },
+    }
 }
 
 impl FilterList {
@@ -53,22 +64,22 @@ impl FilterList {
         };
         for line in text.lines() {
             match parse_line(line) {
-                Ok(rule) => {
-                    if rule.exception {
-                        list.exceptions.push(rule);
-                    } else {
-                        list.rules.push(rule);
-                    }
-                }
+                Ok(rule) if rule.exception => list.exceptions.push(rule),
+                Ok(rule) => list.blocking.push(rule),
                 Err(_) => list.skipped += 1,
             }
         }
         list
     }
 
+    /// Blocking rules, in list order.
+    pub fn rules(&self) -> &[FilterRule] {
+        &self.blocking.rules
+    }
+
     /// Total number of rules (blocking + exception).
     pub fn len(&self) -> usize {
-        self.rules.len() + self.exceptions.len()
+        self.blocking.rules.len() + self.exceptions.rules.len()
     }
 
     /// Whether the list has no rules.
@@ -76,19 +87,27 @@ impl FilterList {
         self.len() == 0
     }
 
-    /// Evaluates a request: first blocking rules, then exceptions.
+    /// Evaluates a request: the first blocking rule in list order that
+    /// matches, overridden by the first matching exception rule.
     pub fn evaluate(&self, ctx: &RequestContext) -> Verdict {
-        let hit = self.rules.iter().find(|r| rule_matches(r, ctx));
-        let Some(block) = hit else {
-            return Verdict::Allow;
-        };
-        if let Some(exc) = self.exceptions.iter().find(|r| rule_matches(r, ctx)) {
-            return Verdict::Excepted {
-                block: block.raw.clone(),
-                exception: exc.raw.clone(),
-            };
+        let url = lowered(ctx.url);
+        match self.blocking.first_match(ctx, &url) {
+            None => Verdict::Allow,
+            Some(block) => verdict(block, self.exceptions.first_match(ctx, &url)),
         }
-        Verdict::Block(block.raw.clone())
+    }
+
+    /// [`FilterList::evaluate`] by a linear scan that tests every rule in
+    /// list order: the reference the token index is tested and benchmarked
+    /// against. The pipeline calls [`FilterList::evaluate`].
+    pub fn evaluate_linear(&self, ctx: &RequestContext) -> Verdict {
+        fn first<'a>(rules: &'a [FilterRule], ctx: &RequestContext) -> Option<&'a FilterRule> {
+            rules.iter().find(|r| rule_matches(r, ctx))
+        }
+        match first(&self.blocking.rules, ctx) {
+            None => Verdict::Allow,
+            Some(block) => verdict(block, first(&self.exceptions.rules, ctx)),
+        }
     }
 
     /// The adblockparser-style question the paper asks in §5.1: does any
@@ -96,8 +115,8 @@ impl FilterList {
     /// (ignoring the dynamic page context — pass `first_party=false` and
     /// an unrelated page domain, as `adblockparser` effectively does)?
     pub fn covers_script_url(&self, url: &Url, resource_type: ResourceType) -> bool {
-        let ctx = RequestContext::new(url.clone(), resource_type, false, "adblockparser.invalid");
-        matches!(self.evaluate(&ctx), Verdict::Block(_))
+        let ctx = RequestContext::new(url, resource_type, false, "adblockparser.invalid");
+        self.evaluate(&ctx).is_block()
     }
 }
 
@@ -171,32 +190,36 @@ mod tests {
 example.com##.banner
 ";
 
+    const LIST: &str = "\
+||tracker.net^$script
+||ads.example.com^
+@@||tracker.net/allowed/*$script
+/fp-collect.js
+|https://exact.example/app.js|
+||mgid.com^$document
+";
+
+    fn script(list: &FilterList, url: &str, page: &str) -> Verdict {
+        let url = Url::parse(url).unwrap();
+        let ctx = RequestContext::new(&url, ResourceType::Script, false, page);
+        let verdict = list.evaluate(&ctx);
+        assert_eq!(verdict, list.evaluate_linear(&ctx), "{url}");
+        verdict
+    }
+
     #[test]
     fn parse_counts() {
         let list = FilterList::parse("test", SAMPLE);
-        assert_eq!(list.rules.len(), 3);
-        assert_eq!(list.exceptions.len(), 1);
+        assert_eq!(list.rules().len(), 3);
+        assert_eq!(list.exceptions.rules.len(), 1);
         assert_eq!(list.skipped, 3); // comment, header, cosmetic
     }
 
     #[test]
     fn evaluate_block_and_exception() {
         let list = FilterList::parse("test", SAMPLE);
-        let blocked = RequestContext::new(
-            Url::parse("https://tracker.net/fp.js").unwrap(),
-            ResourceType::Script,
-            false,
-            "site.com",
-        );
-        assert!(list.evaluate(&blocked).is_block());
-
-        let excepted = RequestContext::new(
-            Url::parse("https://tracker.net/allowed/fp.js").unwrap(),
-            ResourceType::Script,
-            false,
-            "site.com",
-        );
-        match list.evaluate(&excepted) {
+        assert!(script(&list, "https://tracker.net/fp.js", "site.com").is_block());
+        match script(&list, "https://tracker.net/allowed/fp.js", "site.com") {
             Verdict::Excepted { .. } => {}
             other => panic!("expected exception, got {other:?}"),
         }
@@ -209,6 +232,41 @@ example.com##.banner
         assert!(!list.covers_script_url(&mgid, ResourceType::Script));
         let tracker = Url::parse("https://tracker.net/fp.js").unwrap();
         assert!(list.covers_script_url(&tracker, ResourceType::Script));
+    }
+
+    #[test]
+    fn compiled_matches_linear_on_representative_urls() {
+        let list = FilterList::parse("t", LIST);
+        for url in [
+            "https://tracker.net/fp.js",
+            "https://cdn.tracker.net/x.js",
+            "https://tracker.net/allowed/fp.js",
+            "https://ads.example.com/banner.js",
+            "https://clean.example/app.js",
+            "https://x.example/fp-collect.js",
+            "https://exact.example/app.js",
+            "https://exact.example/app.js?v=1",
+            "https://mgid.com/fp.js",
+        ] {
+            script(&list, url, "page.example");
+        }
+    }
+
+    #[test]
+    fn first_rule_in_list_order_is_reported() {
+        // Both rules match; the second sits in an earlier-scanned bucket
+        // (`a`), the first under `tracker`. List order decides.
+        let list = FilterList::parse("t", "||tracker.net^\n||a.tracker.net^\n");
+        assert_eq!(
+            script(&list, "https://a.tracker.net/x.js", "p.example"),
+            Verdict::Block("||tracker.net^".into())
+        );
+    }
+
+    #[test]
+    fn unanchored_rules_still_match() {
+        let list = FilterList::parse("t", LIST);
+        assert!(script(&list, "https://anywhere.example/fp-collect.js", "p.example").is_block());
     }
 
     #[test]
@@ -229,12 +287,9 @@ example.com##.banner
     #[test]
     fn empty_list_allows_everything() {
         let list = FilterList::parse("empty", "");
-        let ctx = RequestContext::new(
-            Url::parse("https://anything.com/x.js").unwrap(),
-            ResourceType::Script,
-            false,
-            "site.com",
+        assert_eq!(
+            script(&list, "https://anything.com/x.js", "site.com"),
+            Verdict::Allow
         );
-        assert_eq!(list.evaluate(&ctx), Verdict::Allow);
     }
 }

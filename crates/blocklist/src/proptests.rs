@@ -44,7 +44,7 @@ proptest! {
         let with_exc = format!("{base}@@||{}^$script\n", url.host);
         let plain = FilterList::parse("plain", &base);
         let excepted = FilterList::parse("exc", &with_exc);
-        let ctx = RequestContext::new(url, ResourceType::Script, false, "page.example");
+        let ctx = RequestContext::new(&url, ResourceType::Script, false, "page.example");
         let plain_blocks = plain.evaluate(&ctx).is_block();
         let exc_blocks = excepted.evaluate(&ctx).is_block();
         prop_assert!(plain_blocks, "base rule must match its own host");
@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn document_rules_never_block_scripts(url in url_strategy()) {
         let rule = parse_line(&format!("||{}^$document", url.host)).unwrap();
-        let ctx = RequestContext::new(url, ResourceType::Script, false, "page.example");
+        let ctx = RequestContext::new(&url, ResourceType::Script, false, "page.example");
         prop_assert!(!rule_matches(&rule, &ctx));
     }
 
@@ -65,8 +65,9 @@ proptest! {
     fn domain_anchor_semantics(host in "[a-z]{3,8}", tld in "[a-z]{2,3}") {
         let rule = parse_line(&format!("||{host}.{tld}^")).unwrap();
         let hit = |u: &str| {
+            let url = Url::parse(u).unwrap();
             let ctx = RequestContext::new(
-                Url::parse(u).unwrap(),
+                &url,
                 ResourceType::Script,
                 false,
                 "page.example",

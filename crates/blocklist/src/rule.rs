@@ -259,6 +259,7 @@ fn compile_pattern(pat: &str) -> Vec<PatternToken> {
                 }
                 tokens.push(PatternToken::Separator);
             }
+            _ if c.is_ascii() => literal.push(c.to_ascii_lowercase()),
             _ => literal.extend(c.to_lowercase()),
         }
     }

@@ -7,6 +7,9 @@
 //! CNAME-cloaked trackers are evaluated — and party-classified — against
 //! their canonical hosts.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use canvassing_blocklist::{FilterList, RequestContext, Verdict};
 use canvassing_net::domain::registrable_domain;
 use canvassing_net::{classify_party, DnsZone, Party, ResourceType, Url};
@@ -30,10 +33,12 @@ impl AdBlockerKind {
     }
 }
 
-/// An installed content-blocking extension.
+/// An installed content-blocking extension. Clones share one compiled
+/// list, so every worker of a crawl installs the same parse.
+#[derive(Debug, Clone)]
 pub struct Extension {
     kind: AdBlockerKind,
-    list: FilterList,
+    list: Arc<FilterList>,
 }
 
 /// Why a request was blocked, for crawler records.
@@ -51,7 +56,7 @@ impl Extension {
     pub fn new(kind: AdBlockerKind, easylist_text: &str) -> Extension {
         Extension {
             kind,
-            list: FilterList::parse("EasyList", easylist_text),
+            list: Arc::new(FilterList::parse("EasyList", easylist_text)),
         }
     }
 
@@ -72,14 +77,13 @@ impl Extension {
         // canonical name when the request host aliases off-site.
         let effective_url = match self.kind {
             AdBlockerKind::UblockOrigin => match dns.resolve(&script_url.host) {
-                Ok(res) if res.is_cloaked() => {
-                    let mut u = script_url.clone();
-                    u.host = res.canonical;
-                    u
-                }
-                _ => script_url.clone(),
+                Ok(res) if res.is_cloaked() => Cow::Owned(Url {
+                    host: res.canonical,
+                    ..script_url.clone()
+                }),
+                _ => Cow::Borrowed(script_url),
             },
-            AdBlockerKind::AdblockPlus => script_url.clone(),
+            AdBlockerKind::AdblockPlus => Cow::Borrowed(script_url),
         };
 
         // First-party exception: extensions do not block same-site
@@ -90,7 +94,7 @@ impl Extension {
         }
 
         let ctx = RequestContext::new(
-            effective_url.clone(),
+            &effective_url,
             ResourceType::Script,
             false,
             registrable_domain(&page.host).unwrap_or(&page.host),
@@ -98,7 +102,7 @@ impl Extension {
         match self.list.evaluate(&ctx) {
             Verdict::Block(rule) => Some(BlockDecision {
                 rule,
-                evaluated_url: effective_url,
+                evaluated_url: effective_url.into_owned(),
             }),
             Verdict::Allow | Verdict::Excepted { .. } => None,
         }

@@ -3,11 +3,11 @@
 //! [`SyntheticWeb`].
 
 use canvassing_blocklist::{DisconnectList, FilterList};
-use canvassing_browser::AdBlockerKind;
+use canvassing_browser::{AdBlockerKind, CrawlCaches};
 use canvassing_crawler::{
-    crawl, crawl_streamed_range_until, crawl_with_stats, shard_range, supervise_crawl, CrawlConfig,
-    CrawlDataset, CrawlStats, FailureKind, FaultScript, SegmentWriter, SupervisionReport,
-    SupervisorConfig,
+    crawl, crawl_streamed_range_until, crawl_with_caches, shard_range, supervise_crawl,
+    CrawlConfig, CrawlDataset, CrawlStats, FailureKind, FaultScript, SegmentWriter,
+    SupervisionReport, SupervisorConfig,
 };
 use canvassing_raster::DeviceProfile;
 use canvassing_webgen::{Cohort, SyntheticWeb};
@@ -250,8 +250,11 @@ pub fn run_study(web: &SyntheticWeb, options: &StudyOptions) -> StudyResults {
     if options.trace {
         control.trace = Some(std::sync::Arc::new(canvassing_trace::CountingSink::new()));
     }
-    let (popular_ds, popular_stats) = crawl_with_stats(&web.network, &popular_frontier, &control);
-    let (tail_ds, tail_stats) = crawl_with_stats(&web.network, &tail_frontier, &control);
+    let (popular_caches, tail_caches) = (control.build_caches(), control.build_caches());
+    let (popular_ds, popular_stats) =
+        crawl_with_caches(&web.network, &popular_frontier, &control, &popular_caches);
+    let (tail_ds, tail_stats) =
+        crawl_with_caches(&web.network, &tail_frontier, &control, &tail_caches);
 
     let mut popular = analyze_cohort(
         Cohort::Popular,
@@ -269,8 +272,8 @@ pub fn run_study(web: &SyntheticWeb, options: &StudyOptions) -> StudyResults {
     finish_study(
         web,
         options,
-        &popular_frontier,
-        &tail_frontier,
+        (&popular_frontier, &popular_caches),
+        (&tail_frontier, &tail_caches),
         popular,
         tail,
     )
@@ -326,8 +329,9 @@ fn add_stats(into: &mut CrawlStats, from: &CrawlStats) {
 
 /// Streams one cohort's control crawl through a [`CohortAccumulator`],
 /// optionally spilling records to bounded segments, and finishes into a
-/// cohort analysis. Memory is bounded by `chunk_sites` plus the
-/// accumulator's fingerprinting-site state — never the cohort size.
+/// cohort analysis, returned with the caches the crawl filled. Memory is
+/// bounded by `chunk_sites` plus the accumulator's fingerprinting-site
+/// state — never the cohort size.
 #[allow(clippy::too_many_arguments)]
 fn stream_cohort(
     web: &SyntheticWeb,
@@ -338,7 +342,7 @@ fn stream_cohort(
     easyprivacy: &FilterList,
     disconnect: &DisconnectList,
     streaming: &StreamingOptions,
-) -> std::io::Result<CohortAnalysis> {
+) -> std::io::Result<(CohortAnalysis, CrawlCaches)> {
     let caches = config.build_caches();
     let mut acc = CohortAccumulator::new();
     let mut perf = CrawlStats::default();
@@ -396,7 +400,7 @@ fn stream_cohort(
     let mut analysis = acc.finish(cohort);
     analysis.perf = perf;
     analysis.bytecode = bytecode_triage(&web.network, frontier);
-    Ok(analysis)
+    Ok((analysis, caches))
 }
 
 /// [`run_study`] on the constant-memory path: the two control crawls
@@ -429,7 +433,7 @@ pub fn run_study_streamed(
         control.trace = Some(std::sync::Arc::new(canvassing_trace::CountingSink::new()));
     }
 
-    let popular = stream_cohort(
+    let (popular, popular_caches) = stream_cohort(
         web,
         Cohort::Popular,
         &popular_frontier,
@@ -439,7 +443,7 @@ pub fn run_study_streamed(
         &disconnect,
         streaming,
     )?;
-    let tail = stream_cohort(
+    let (tail, tail_caches) = stream_cohort(
         web,
         Cohort::Tail,
         &tail_frontier,
@@ -453,8 +457,8 @@ pub fn run_study_streamed(
     Ok(finish_study(
         web,
         options,
-        &popular_frontier,
-        &tail_frontier,
+        (&popular_frontier, &popular_caches),
+        (&tail_frontier, &tail_caches),
         popular,
         tail,
     ))
@@ -528,11 +532,13 @@ pub fn run_study_supervised(
     popular.bytecode = bytecode_triage(&web.network, &popular_frontier);
     tail.bytecode = bytecode_triage(&web.network, &tail_frontier);
 
+    // Supervised control crawls run in leased workers, so no cache of
+    // theirs survives here: the re-crawls start from fresh caches.
     let results = finish_study(
         web,
         options,
-        &popular_frontier,
-        &tail_frontier,
+        (&popular_frontier, &control.build_caches()),
+        (&tail_frontier, &control.build_caches()),
         popular,
         tail,
     );
@@ -547,13 +553,22 @@ pub fn run_study_supervised(
 
 /// Everything downstream of the two control-cohort analyses: figures,
 /// attribution, the optional re-crawl experiments, and assembly. Shared
-/// verbatim by [`run_study`] and [`run_study_streamed`] so the two paths
-/// cannot drift.
+/// verbatim by [`run_study`], [`run_study_streamed`] and
+/// [`run_study_supervised`] so the paths cannot drift.
+///
+/// Each cohort comes with its frontier and the caches its control crawl
+/// filled. The Table 2 ad-blocker re-crawls and the M1 crawl run on those
+/// caches: the render memo is keyed on (script body, device) and an ad
+/// blocker only removes scripts from a page, so the ad-blocker crawls
+/// replay every render, and the M1 crawl re-uses the parses and static
+/// triage. Caches never change a record (`tests/perf_determinism.rs`),
+/// and the report's cache-efficiency rows come from the control crawls
+/// alone, so the report is the same as on fresh caches.
 fn finish_study(
     web: &SyntheticWeb,
     options: &StudyOptions,
-    popular_frontier: &[canvassing_net::Url],
-    tail_frontier: &[canvassing_net::Url],
+    (popular_frontier, popular_caches): (&[canvassing_net::Url], &CrawlCaches),
+    (tail_frontier, tail_caches): (&[canvassing_net::Url], &CrawlCaches),
     popular: CohortAnalysis,
     tail: CohortAnalysis,
 ) -> StudyResults {
@@ -593,8 +608,8 @@ fn finish_study(
             let mut config = CrawlConfig::with_adblocker(kind, &web.lists.easylist);
             config.workers = options.workers;
             config.engine = options.engine;
-            let p = crawl(&web.network, popular_frontier, &config);
-            let t = crawl(&web.network, tail_frontier, &config);
+            let (p, _) = crawl_with_caches(&web.network, popular_frontier, &config, popular_caches);
+            let (t, _) = crawl_with_caches(&web.network, tail_frontier, &config, tail_caches);
             let p_det: Vec<SiteDetection> = p.successful().map(|(_, v)| detect(v)).collect();
             let t_det: Vec<SiteDetection> = t.successful().map(|(_, v)| detect(v)).collect();
             table2.push(Table2Row {
@@ -613,7 +628,7 @@ fn finish_study(
         let mut config = CrawlConfig::with_device(DeviceProfile::apple_m1());
         config.workers = options.workers;
         config.engine = options.engine;
-        let m1_ds = crawl(&web.network, popular_frontier, &config);
+        let (m1_ds, _) = crawl_with_caches(&web.network, popular_frontier, &config, popular_caches);
         let m1_det: Vec<SiteDetection> = m1_ds.successful().map(|(_, v)| detect(v)).collect();
         let m1_clustering = Clustering::build(m1_det.iter());
         let (intel_canvases, m1_canvases) = (

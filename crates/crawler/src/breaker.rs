@@ -37,7 +37,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use canvassing_browser::Extension;
 use canvassing_net::{Network, Resource, ScriptRef, Url};
 use serde::{Deserialize, Serialize};
 
@@ -150,10 +149,7 @@ impl BreakerPlan {
         if !policy.enabled {
             return None;
         }
-        let extension = config
-            .adblocker
-            .as_ref()
-            .map(|(kind, list)| Extension::new(*kind, list));
+        let extension = config.adblocker.as_ref();
         let deadline = config.policy.deadline_ms;
 
         let mut state: BTreeMap<String, BreakerState> = BTreeMap::new();

@@ -189,8 +189,10 @@ pub struct CrawlConfig {
     pub workers: usize,
     /// Rendering device for every worker (a crawl uses one machine, §3.1).
     pub device: DeviceProfile,
-    /// Installed ad blocker, with the EasyList text it loads.
-    pub adblocker: Option<(AdBlockerKind, String)>,
+    /// Installed ad blocker. Its compiled EasyList is shared by every
+    /// worker (and by clones of the extension), so a crawl parses the
+    /// list once.
+    pub adblocker: Option<Extension>,
     /// Canvas read-back defense.
     pub defense: DefenseMode,
     /// Whether workers pass bot gates (true for the paper's crawler).
@@ -266,7 +268,7 @@ impl CrawlConfig {
     pub fn with_adblocker(kind: AdBlockerKind, easylist: &str) -> CrawlConfig {
         CrawlConfig {
             label: kind.name().to_ascii_lowercase().replace(' ', "-"),
-            adblocker: Some((kind, easylist.to_string())),
+            adblocker: Some(Extension::new(kind, easylist)),
             ..CrawlConfig::control()
         }
     }
@@ -278,9 +280,7 @@ impl CrawlConfig {
         browser.policy = self.policy;
         browser.caches = caches;
         browser.engine = self.engine;
-        if let Some((kind, list)) = &self.adblocker {
-            browser.extension = Some(Extension::new(*kind, list));
-        }
+        browser.extension = self.adblocker.clone();
         browser
     }
 

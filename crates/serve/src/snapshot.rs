@@ -1,7 +1,7 @@
 //! Epoch-swapped rule snapshots and hot reload events.
 //!
 //! The daemon never mutates rules in place. A [`RuleSnapshot`] is an
-//! immutable, `Arc`-shared bundle of (blocklist index + vendor rules)
+//! immutable, `Arc`-shared bundle of (compiled blocklist + vendor rules)
 //! tagged with an epoch number; a [`ReloadEvent`] swaps in a new snapshot
 //! at a simulated instant. Requests admitted before the swap keep their
 //! admission snapshot `Arc` until they finish — a reload can therefore
@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use canvassing_blocklist::{FilterList, IndexedFilterList, RequestContext, Verdict};
+use canvassing_blocklist::FilterList;
 use canvassing_net::domain::registrable_domain;
 use canvassing_net::{ResourceType, Url};
 
@@ -48,8 +48,8 @@ pub struct RuleSnapshot {
     pub epoch: u64,
     /// List name (diagnostics only).
     pub name: String,
-    /// The compiled, host-indexed blocklist.
-    pub index: IndexedFilterList,
+    /// The compiled blocklist.
+    pub list: FilterList,
     /// Vendor attribution rules: URL substring pattern → vendor name
     /// (the Table 3 script-pattern method, hot-reloadable like the list).
     pub vendor_patterns: BTreeMap<String, String>,
@@ -67,7 +67,6 @@ impl RuleSnapshot {
         vendor_patterns: BTreeMap<String, String>,
     ) -> RuleSnapshot {
         let list = FilterList::parse(name, list_text);
-        let index = IndexedFilterList::build(&list);
         let raw_lines = list_text
             .lines()
             .map(str::trim)
@@ -77,7 +76,7 @@ impl RuleSnapshot {
         RuleSnapshot {
             epoch,
             name: name.to_string(),
-            index,
+            list,
             vendor_patterns,
             raw_lines,
         }
@@ -96,13 +95,7 @@ impl RuleSnapshot {
     /// static-coverage question, page-context-free like
     /// `FilterList::covers_script_url`).
     pub fn covers(&self, url: &Url) -> bool {
-        let ctx = RequestContext::new(
-            url.clone(),
-            ResourceType::Script,
-            false,
-            "adblockparser.invalid",
-        );
-        matches!(self.index.evaluate(&ctx), Verdict::Block(_))
+        self.list.covers_script_url(url, ResourceType::Script)
     }
 
     /// Vendor attribution of a script URL under this snapshot's vendor

@@ -178,8 +178,8 @@ mod tests {
         let el = FilterList::parse("EasyList", &g.easylist);
         let ep = FilterList::parse("EasyPrivacy", &g.easyprivacy);
         let dc = DisconnectList::parse(&g.disconnect);
-        assert!(el.rules.len() > 100, "{} EL rules", el.rules.len());
-        assert!(ep.rules.len() > 50);
+        assert!(el.rules().len() > 100, "{} EL rules", el.rules().len());
+        assert!(ep.rules().len() > 50);
         assert!(dc.len() >= 4, "{} disconnect domains", dc.len());
     }
 
@@ -208,7 +208,7 @@ mod tests {
         assert!(el.covers_script_url(&url, ResourceType::Script));
         // ...but in context on a .ru page, the exception fires.
         let ctx = canvassing_blocklist::RequestContext::new(
-            url,
+            &url,
             ResourceType::Script,
             false,
             "some-site.ru",

@@ -100,12 +100,8 @@ fn main() {
 
     // Show the full verdict detail for the mail.ru exception case.
     println!("\nverdict detail for mail.ru on news.ru:");
-    let ctx = RequestContext::new(
-        Url::parse("https://privacy-cs.mail.ru/counter/top.js").unwrap(),
-        ResourceType::Script,
-        false,
-        "news.ru",
-    );
+    let mailru = Url::parse("https://privacy-cs.mail.ru/counter/top.js").unwrap();
+    let ctx = RequestContext::new(&mailru, ResourceType::Script, false, "news.ru");
     match list.evaluate(&ctx) {
         Verdict::Excepted { block, exception } => {
             println!("  blocking rule matched:  {block}");

@@ -10,12 +10,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use canvassing::detect::detect;
-use canvassing_browser::DefenseMode;
+use canvassing_browser::{AdBlockerKind, DefenseMode};
 use canvassing_crawler::{
     crawl, crawl_with_caches, crawl_with_stats, resume_crawl, CachingPolicy, CrawlConfig,
     CrawlDataset,
 };
 use canvassing_net::FaultMatrix;
+use canvassing_raster::DeviceProfile;
 use canvassing_webgen::{Cohort, SyntheticWeb, WebConfig};
 
 fn web(seed: u64) -> (SyntheticWeb, Vec<canvassing_net::Url>) {
@@ -133,6 +134,48 @@ fn warm_caches_skip_parses_without_changing_the_dataset() {
     assert!(cold.script_parses > 0, "cold pass parses the corpus");
     assert_eq!(warm.script_parses, 0, "warm pass re-parses nothing");
     assert_eq!(warm.memo_computes, 0, "warm pass re-renders nothing");
+}
+
+/// The study runs its Table 2 ad-blocker re-crawls and the M1 crawl on
+/// the caches its control crawl filled. An ad blocker only removes
+/// scripts from a page, so its re-crawl replays every render; the M1
+/// crawl renders on another device but re-uses every parse and triage.
+#[test]
+fn recrawls_on_control_caches_match_fresh_crawls() {
+    let (web, frontier) = web(27);
+    for workers in [1, 4] {
+        let control = config(workers, CachingPolicy::default());
+        let caches = control.build_caches();
+        crawl_with_caches(&web.network, &frontier, &control, &caches);
+        let recrawls = [
+            CrawlConfig::with_adblocker(AdBlockerKind::AdblockPlus, &web.lists.easylist),
+            CrawlConfig::with_adblocker(AdBlockerKind::UblockOrigin, &web.lists.easylist),
+            CrawlConfig::with_device(DeviceProfile::apple_m1()),
+        ];
+        for mut recrawl in recrawls {
+            recrawl.workers = workers;
+            let what = format!("{} at {workers} workers", recrawl.label);
+            let (warm, stats) = crawl_with_caches(&web.network, &frontier, &recrawl, &caches);
+            let fresh = crawl(&web.network, &frontier, &recrawl);
+            assert_eq!(
+                warm.to_json().unwrap(),
+                fresh.to_json().unwrap(),
+                "{what}: warm caches must not change a record"
+            );
+            assert_eq!(stats.script_parses, 0, "{what}: no re-parse");
+            assert_eq!(stats.static_analyses, 0, "{what}: no re-triage");
+            if recrawl.adblocker.is_some() {
+                assert!(
+                    warm.successful().any(|(_, v)| !v.blocked.is_empty()),
+                    "{what}: the ad blocker must block something"
+                );
+                assert_eq!(stats.memo_computes, 0, "{what}: no re-render");
+                assert!(stats.memo_hits > 0, "{what}: renders replay");
+            } else {
+                assert!(stats.memo_computes > 0, "{what}: a new device renders");
+            }
+        }
+    }
 }
 
 #[test]
